@@ -122,15 +122,14 @@ def scheduler_ops_per_sec(
     ``tracer`` (a :class:`repro.obs.Tracer`, typically with
     ``enabled=False``) is installed on the scheduler and device — the
     knob behind the tracing-overhead gate in the perf harness.
-    ``num_queues > 0`` swaps the device for a multi-queue
-    :class:`~repro.ssd.NvmeDevice` with that many SQ/CQ pairs (the
-    ``nvme`` harness stage)."""
+    ``num_queues > 0`` runs the device on ``profile.with_queues(n)``,
+    that many SQ/CQ pairs (the ``nvme`` harness stage)."""
     from repro.core.calibration import reference_calibration
     from repro.core.scheduler import LibraScheduler
     from repro.core.tags import IoTag, RequestClass
     from repro.core.vop import make_cost_model
     from repro.sim import Simulator
-    from repro.ssd import NvmeDevice, SsdDevice, get_profile
+    from repro.ssd import SsdDevice, get_profile
 
     import random
 
@@ -138,9 +137,7 @@ def scheduler_ops_per_sec(
     sim = Simulator()
     if num_queues > 0:
         profile = profile.with_queues(num_queues)
-        device = NvmeDevice(sim, profile, seed=3, tracer=tracer)
-    else:
-        device = SsdDevice(sim, profile, seed=3, tracer=tracer)
+    device = SsdDevice(sim, profile, seed=3, tracer=tracer)
     cost_model = make_cost_model("exact", reference_calibration(profile.name))
     scheduler = LibraScheduler(sim, device, cost_model, tracer=tracer)
     share = cost_model.max_iop / tenants

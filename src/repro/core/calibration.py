@@ -109,16 +109,9 @@ def calibrate_device(
 
     One shared device instance is used across points (like benchmarking
     a single physical drive), so later points see an aged FTL.
-    Profiles with ``num_queues > 1`` are calibrated on the multi-queue
-    :class:`~repro.ssd.NvmeDevice`.
     """
     sim = Simulator()
-    if profile.num_queues > 1:
-        from ..ssd.nvme import NvmeDevice
-
-        device = NvmeDevice(sim, profile, seed=seed)
-    else:
-        device = SsdDevice(sim, profile, seed=seed)
+    device = SsdDevice(sim, profile, seed=seed)
     read_iops, write_iops = {}, {}
     for size in sizes:
         read_iops[size] = _measure(sim, device, OpKind.READ, size, duration, warmup, seed)

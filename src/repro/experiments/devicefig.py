@@ -4,10 +4,9 @@ The paper's provisioning results were measured on single-NCQ SATA-era
 SSDs.  This figure re-runs a fig4-style interference probe and a
 fig9-style cost-model accuracy probe across the device design space:
 
-- **queue architecture** — the SATA :class:`~repro.ssd.SsdDevice`
-  versus the multi-queue :class:`~repro.ssd.NvmeDevice` at 1, 4, and 8
-  SQ/CQ pairs (all sharing the intel320 flash constants, so queue
-  structure is the only variable);
+- **queue architecture** — the SATA profile versus the same device at
+  1, 4, and 8 SQ/CQ pairs (``profile.with_queues(n)``; all share the
+  intel320 flash constants, so queue structure is the only variable);
 - **FTL policy** — greedy, cost-benefit, and hot/cold-stream GC
   (:mod:`repro.ssd.ftl_policy`);
 - **overprovisioning** — 7%, 14%, and 28% spare capacity.
@@ -50,7 +49,8 @@ from .common import KIB, MIB, derive_seed, parallel_map
 
 __all__ = ["run", "render", "DeviceFigResult"]
 
-#: (label, queue count) — 0 queues = the SATA SsdDevice
+#: (label, queue count) — 0 keeps the stock one-queue SATA profile, so
+#: ``sata`` and ``nvme x1`` are the same device (a built-in sanity row)
 DEVICES: Tuple[Tuple[str, int], ...] = (
     ("sata", 0), ("nvme x1", 1), ("nvme x4", 4), ("nvme x8", 8),
 )
@@ -119,10 +119,7 @@ def _cell(args) -> Dict[str, float]:
     """
     profile_name, queues, policy, op, index, duration, warmup, seed = args
     profile = _cell_profile(profile_name, queues, policy, op)
-    env = DeviceEnv(
-        profile, seed=derive_seed(seed, index),
-        device="nvme" if queues else "ssd",
-    )
+    env = DeviceEnv(profile, seed=derive_seed(seed, index))
     read_trial = run_interference_trial(
         profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
         read_fraction=1.0, duration=duration, warmup=warmup, seed=seed,
@@ -163,7 +160,7 @@ def _audit_leg(profile_name: str, cell, duration: float, seed: int):
     profile = _cell_profile(profile_name, queues, policy, op)
     cost_model = make_cost_model("exact", reference_calibration(profile.name))
     audit = VopAudit(cost_model)
-    env = DeviceEnv(profile, seed=seed, device="nvme")
+    env = DeviceEnv(profile, seed=seed)
     run_interference_trial(
         profile, read_size=READ_SIZE, write_size=WRITE_SIZE,
         read_fraction=None, duration=duration, warmup=0.05, seed=seed,
@@ -188,12 +185,10 @@ def _ff_leg(profile_name: str, cell, horizon: float, seed: int):
         for i in range(4)
     ]
     des = run_epoch_trial(
-        profile, specs, horizon, seed=seed, fast_forward=False,
-        audit=True, device="nvme",
+        profile, specs, horizon, seed=seed, fast_forward=False, audit=True,
     )
     ff = run_epoch_trial(
-        profile, specs, horizon, seed=seed, fast_forward=True,
-        audit=True, device="nvme",
+        profile, specs, horizon, seed=seed, fast_forward=True, audit=True,
     )
     agree = {
         "tasks": des.total_tasks == ff.total_tasks,

@@ -29,8 +29,9 @@ comes from the stable-backlog (fluid) regime replaying arrivals
 through the analytic DDRR round schedule.  The table adds the fluid
 share of simulated time and a breakdown of where event-by-event time
 was still spent (the monitor's per-reason rejection accounting) —
-including a run on the multi-queue NVMe device, whose epoch hooks are
-inherited from the base SSD model.
+including a run on the same device with eight submission queues
+(``profile.with_queues(8)``), where each tenant's fluid chunks clear
+their own SQ's controller lane.
 
 **Part B — sweeping on the surrogate.**  The fitted surrogate device
 (:class:`~repro.ssd.SurrogateDevice`) replaces the structural SSD in a
@@ -153,22 +154,22 @@ def _loaded_scenarios(profile_name: str):
             for i in range(4)
         ]
 
+    # (name, specs, submission queues)
     return [
-        ("loaded-read", specs(0.75, 1.0), "ssd"),
-        ("loaded-mixed", specs(0.65, 0.9), "ssd"),
-        ("loaded-nvme", specs(0.75, 1.0), "nvme"),
+        ("loaded-read", specs(0.75, 1.0), 1),
+        ("loaded-mixed", specs(0.65, 0.9), 1),
+        ("loaded-nvme", specs(0.75, 1.0), 8),
     ]
 
 
-def _run_scenario(profile, name, specs, horizon, changes, seed,
-                  device: str = "ssd") -> ScenarioRow:
+def _run_scenario(profile, name, specs, horizon, changes, seed) -> ScenarioRow:
     des = run_epoch_trial(
         profile, specs, horizon=horizon, seed=seed,
-        fast_forward=False, rate_changes=changes, audit=True, device=device,
+        fast_forward=False, rate_changes=changes, audit=True,
     )
     ff = run_epoch_trial(
         profile, specs, horizon=horizon, seed=seed,
-        fast_forward=True, rate_changes=changes, audit=True, device=device,
+        fast_forward=True, rate_changes=changes, audit=True,
     )
     return ScenarioRow(
         name=name,
@@ -226,8 +227,8 @@ def run(
         for name, specs, h, changes in _scenarios(profile_name, horizon)
     ]
     loaded = [
-        _run_scenario(profile, name, specs, horizon, (), seed, device=device)
-        for name, specs, device in _loaded_scenarios(profile_name)
+        _run_scenario(profile.with_queues(queues), name, specs, horizon, (), seed)
+        for name, specs, queues in _loaded_scenarios(profile_name)
     ]
 
     items = [

@@ -217,7 +217,7 @@ class SteadyStateMonitor:
         return True, "stable"
 
     def _parked(self) -> Optional[str]:
-        """Drainable multi-queue state: commands parked in NVMe SQs.
+        """Drainable multi-queue state: commands parked in device SQs.
 
         Every SQ must be drained for the *quiet* class, not just the
         aggregate — a command parked in one submission queue (or
@@ -227,11 +227,9 @@ class SteadyStateMonitor:
         before the epoch starts, so it neither vetoes eligibility nor
         invalidates the confirmation window.
         """
-        queue_backlogs = getattr(self.device, "queue_backlogs", None)
-        if queue_backlogs is not None and any(queue_backlogs):
+        if any(self.device.queue_backlogs):
             return "sq-backlog"
-        fetch_backlogs = getattr(self.device, "fetch_backlogs", None)
-        if fetch_backlogs is not None and any(fetch_backlogs):
+        if any(self.device.fetch_backlogs):
             return "sq-fetch"
         return None
 

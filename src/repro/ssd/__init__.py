@@ -11,7 +11,6 @@ from .ftl_policy import (
     HotColdPolicy,
     make_ftl_policy,
 )
-from .nvme import NvmeDevice
 from .profiles import (
     PROFILES,
     SsdProfile,
@@ -34,7 +33,6 @@ __all__ = [
     "GreedyGcPolicy",
     "HotColdPolicy",
     "IoBackend",
-    "NvmeDevice",
     "OutOfSpace",
     "PROFILES",
     "RawBackend",

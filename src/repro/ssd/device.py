@@ -2,12 +2,23 @@
 
 The device is a small queueing network in simulated time:
 
-- an **NCQ** admission semaphore (queue depth 32, as in every paper
-  experiment);
-- a **controller** stage — a single FIFO server whose per-op service is
-  ``overhead + bytes * byte_cost``.  The fixed overhead caps IOP/s at
-  small sizes (the paper's "processor bound by its controller and on-die
-  logic"); the byte term models the SATA link/DMA;
+- **submission queues** — ``profile.num_queues`` SQ/CQ pairs of
+  ``profile.queue_depth`` slots each.  A SATA drive is the one-queue
+  case: its single SQ is the NCQ (depth 32, as in every paper
+  experiment).  Tenants get SQs round-robin in order of first
+  submission (the dispatch ``ctx`` carries the tenant name); anonymous
+  submitters share SQ 0;
+- a **command-tag pool** — the controller core holds at most
+  ``profile.core_tags`` commands (default ``2 * queue_depth``).  A
+  command in an SQ waits for a tag; when one frees, round-robin (burst
+  1) or weighted-round-robin (burst = per-SQ weight) picks which SQ's
+  head is fetched next, per the NVMe arbitration mechanisms.  With one
+  queue the pool outnumbers the slots, so no command ever waits;
+- one **controller lane per queue** — a FIFO server whose per-op
+  service is ``overhead + bytes * byte_cost``.  The fixed overhead caps
+  IOP/s at small sizes (the paper's "processor bound by its controller
+  and on-die logic"); the byte term models the host link/DMA.  More
+  queues mean more lanes, which is what lifts the SATA IOP ceiling;
 - **C parallel channels** — each chunk of an op occupies one channel for
   ``access/program latency + bytes * byte_cost``.  Aggregate channel
   bandwidth caps throughput at large sizes (the "data channel"
@@ -29,18 +40,18 @@ event count per IO to a handful.
 
 Because the stages are next-free-time accumulators, the common-case op
 timeline is fully computable at submit: when an op is admitted with no
-active fault window, no GC loop running, and an NCQ slot free, the
-device takes a **zero-coroutine fast path** — it books the controller
-and channel reservations synchronously and schedules one completion
-action at the analytic finish time (:meth:`Simulator.call_at`), with no
-generator, no semaphore event, and no timeout.  Any condition that
-makes the timeline stateful (fault windows, GC backpressure, NCQ
-saturation, out-of-range IO) degrades that op to the original coroutine
-pipeline, which remains the single source of truth for the slow path.
-The two paths book identical reservations at identical times, so
-same-seed runs are byte-identical with the fast path on or off
-(``fast_path=False`` forces the coroutine path; the determinism suite
-holds the equivalence).
+active fault window, no GC loop running, a free SQ slot and a free
+command tag, the device takes a **zero-coroutine fast path** — it books
+the controller-lane and channel reservations synchronously and
+schedules one completion action at the analytic finish time
+(:meth:`Simulator.call_at`), with no generator, no semaphore event, and
+no timeout.  Any condition that makes the timeline stateful (fault
+windows, GC backpressure, SQ or tag saturation, out-of-range IO)
+degrades that op to the coroutine pipeline (:meth:`SsdDevice._do_io`).
+Both paths book through the same :meth:`SsdDevice._book` at identical
+times, so same-seed runs are byte-identical with the fast path on or
+off (``fast_path=False`` forces the coroutine path; the determinism
+suite holds the equivalence).
 
 When constructed with a :class:`~repro.faults.FaultPlan`, the device
 consults a :class:`~repro.faults.FaultInjector` at op admission: stall
@@ -52,11 +63,12 @@ stages it reserved — a failing op still consumes device time).
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
-from typing import Optional
+from typing import Deque, Dict, List, Optional
 
 from ..faults import CorruptionError, FaultInjector, FaultPlan
-from ..sim import OK_RESULT, Event, Semaphore, Simulator
+from ..sim import OK_RESULT, Event, Process, Semaphore, Simulator
 from .ftl import Ftl
 from .profiles import SsdProfile
 from .stats import SsdStats
@@ -72,33 +84,35 @@ def _succeed_event(event: Event, _result) -> None:
 class FluidPipeline:
     """Virtual controller/channel reservation state for one fluid epoch.
 
-    A snapshot of the device's next-free-time accumulators that the
-    fluid fast-forward engine (:mod:`repro.workload.epoch`) advances
-    privately: chunk service plans produced by
-    :meth:`SsdDevice.epoch_read`/:meth:`~SsdDevice.epoch_write` are
-    reserved here at their *virtual dispatch* times, reproducing the
-    FIFO queue-wait + service latency the real reservation timeline
-    would have charged — without touching the live device state, so an
-    abandoned epoch leaves nothing to unwind.
+    A snapshot of the device's per-queue controller lanes and channel
+    next-free times that the fluid fast-forward engine
+    (:mod:`repro.workload.epoch`) advances privately: chunk service
+    plans produced by :meth:`SsdDevice.epoch_read`/
+    :meth:`~SsdDevice.epoch_write` are reserved here at their *virtual
+    dispatch* times, reproducing the FIFO queue-wait + service latency
+    the real reservation timeline would have charged — without touching
+    the live device state, so an abandoned epoch leaves nothing to
+    unwind.
     """
 
-    __slots__ = ("ctrl_free", "chan_free")
+    __slots__ = ("lanes", "chan_free")
 
-    def __init__(self, ctrl_free: float, chan_free):
-        self.ctrl_free = ctrl_free
+    def __init__(self, lanes, chan_free):
+        self.lanes = list(lanes)
         self.chan_free = list(chan_free)
 
-    def reserve(self, at: float, ctrl_service: float, services) -> float:
-        """Reserve one chunk dispatched at ``at``; returns its finish time.
+    def reserve(self, at: float, q: int, ctrl_service: float, services) -> float:
+        """Reserve one chunk dispatched at ``at`` on SQ ``q``; returns its finish.
 
-        Same shape as the device's ``_reserve_controller`` followed by
-        ``_reserve_channel`` per (channel, service) pair: the chunk
-        clears the controller FIFO first, then occupies its channels no
-        earlier than that.
+        Same shape as the device's :meth:`~SsdDevice._book`: the chunk
+        clears queue ``q``'s controller lane first, then occupies its
+        channels no earlier than that.
         """
-        start = at if at > self.ctrl_free else self.ctrl_free
+        lanes = self.lanes
+        free = lanes[q]
+        start = at if at > free else free
         ready = start + ctrl_service
-        self.ctrl_free = ready
+        lanes[q] = ready
         finish = ready
         chan_free = self.chan_free
         for chan, service in services:
@@ -126,6 +140,19 @@ class SsdDevice:
         tracer=None,
         fast_path: bool = True,
     ):
+        nq = profile.num_queues
+        if nq < 1:
+            raise ValueError(f"num_queues {nq} must be >= 1")
+        if profile.arbitration == "wrr":
+            weights = profile.wrr_weights or (1,) * nq
+            if len(weights) != nq:
+                raise ValueError(f"wrr_weights {weights} must have {nq} entries")
+            if any(w < 1 for w in weights):
+                raise ValueError(f"wrr_weights {weights} must all be >= 1")
+        elif profile.arbitration == "rr":
+            weights = (1,) * nq
+        else:
+            raise ValueError(f"unknown arbitration {profile.arbitration!r} (rr|wrr)")
         self.sim = sim
         self.profile = profile
         #: admit common-case ops on the zero-coroutine analytic path;
@@ -146,9 +173,22 @@ class SsdDevice:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(fault_plan, name=profile.name) if fault_plan is not None else None
         )
-        self._ncq = Semaphore(sim, profile.queue_depth, name=f"{profile.name}.ncq")
-        self._ctrl_free_at = 0.0
+        self.num_queues = nq
+        self._sqs = [
+            Semaphore(sim, profile.queue_depth, name=f"{profile.name}.sq{q}")
+            for q in range(nq)
+        ]
+        #: per-queue controller lane next-free times
+        self._ctrl_lanes = [0.0] * nq
         self._chan_free_at = [0.0] * profile.channels
+        self._free_tags = profile.core_tags or 2 * profile.queue_depth
+        #: per-SQ FIFO of commands holding a slot but awaiting a tag
+        self._fetch_wait: List[Deque[Event]] = [deque() for _ in range(nq)]
+        self._weights = weights
+        self._arb_cursor = 0
+        self._burst_left = weights[0]
+        #: tenant -> SQ index, assigned round-robin at first submission
+        self._queue_map: Dict[object, int] = {}
         self._gc_running = False
         self._gc_progress: Event = sim.event()
         if precondition:
@@ -158,41 +198,55 @@ class SsdDevice:
 
     @property
     def queue_depth(self) -> int:
-        """NCQ depth (max in-flight host ops)."""
-        return self.profile.queue_depth
+        """Host-visible depth: slots summed over every SQ."""
+        return self.num_queues * self.profile.queue_depth
 
     @property
     def in_flight(self) -> int:
-        """Currently outstanding host ops."""
-        return self.profile.queue_depth - self._ncq.value
+        """Outstanding host ops: occupied SQ slots, tagged or not."""
+        return self.queue_depth - sum(sq.value for sq in self._sqs)
+
+    @property
+    def queue_backlogs(self) -> List[int]:
+        """Per-SQ occupied slots (the fluid monitor's eligibility input)."""
+        depth = self.profile.queue_depth
+        return [depth - sq.value for sq in self._sqs]
+
+    @property
+    def fetch_backlogs(self) -> List[int]:
+        """Per-SQ commands holding a slot but still waiting for a tag."""
+        return [len(w) for w in self._fetch_wait]
 
     @property
     def gc_running(self) -> bool:
         """True while the background GC loop owns channel time."""
         return self._gc_running
 
+    def queue_for(self, tenant) -> int:
+        """SQ serving ``tenant``: round-robin by first use, None -> SQ 0."""
+        if self.num_queues == 1 or tenant is None:
+            return 0
+        q = self._queue_map.get(tenant)
+        if q is None:
+            q = self._queue_map[tenant] = len(self._queue_map) % self.num_queues
+        return q
+
     def read(self, offset: int, size: int, ctx=None) -> Event:
         """Submit a read; the returned event triggers on completion.
 
-        ``ctx`` is an optional ``(trace_id, tenant)`` pair attached to
-        the op's controller/channel spans when a tracer is installed;
-        it never influences execution.
+        ``ctx`` is an optional ``(trace_id, tenant)`` pair: the tenant
+        picks the SQ, and both are attached to the op's
+        controller/channel spans when a tracer is installed.
         """
-        finish = self._admit_fast_read(offset, size, ctx)
-        if finish is None:
-            return self.sim.process(self._do_read(offset, size, ctx))
         done = Event(self.sim)
-        self.sim.call_at(finish, self._finish_fast_read, (_succeed_event, done, size))
-        return done
+        proc = self._submit(True, offset, size, ctx, _succeed_event, done)
+        return done if proc is None else proc
 
     def write(self, offset: int, size: int, ctx=None) -> Event:
         """Submit a write; the returned event triggers on completion."""
-        finish = self._admit_fast_write(offset, size, ctx)
-        if finish is None:
-            return self.sim.process(self._do_write(offset, size, ctx))
         done = Event(self.sim)
-        self.sim.call_at(finish, self._finish_fast_write, (_succeed_event, done, size))
-        return done
+        proc = self._submit(False, offset, size, ctx, _succeed_event, done)
+        return done if proc is None else proc
 
     def submit(self, is_read: bool, offset: int, size: int, ctx, callback, cb_arg) -> None:
         """Slim submission: completion arrives as ``callback(cb_arg, result)``.
@@ -205,19 +259,9 @@ class SsdDevice:
         callback (a Process exposes the same ``ok``/``value`` shape, and
         carries the fault when the op failed).
         """
-        if is_read:
-            finish = self._admit_fast_read(offset, size, ctx)
-            if finish is not None:
-                self.sim.call_at(finish, self._finish_fast_read, (callback, cb_arg, size))
-                return
-            proc = self.sim.process(self._do_read(offset, size, ctx))
-        else:
-            finish = self._admit_fast_write(offset, size, ctx)
-            if finish is not None:
-                self.sim.call_at(finish, self._finish_fast_write, (callback, cb_arg, size))
-                return
-            proc = self.sim.process(self._do_write(offset, size, ctx))
-        proc.callbacks.append(partial(callback, cb_arg))
+        proc = self._submit(is_read, offset, size, ctx, callback, cb_arg)
+        if proc is not None:
+            proc.callbacks.append(partial(callback, cb_arg))
 
     def trim(self, offset: int, size: int) -> None:
         """Invalidate a logical range (instant, as TRIM effectively is)."""
@@ -229,19 +273,17 @@ class SsdDevice:
     # During a quiet steady-state epoch the runner (repro.workload.epoch)
     # skips the event loop entirely and accounts each op here: same
     # stats counters and FTL mutations as the zero-coroutine fast path,
-    # but applied synchronously with no NCQ slot, no reservation
-    # timeline, and no completion action.  Valid only while the device
-    # is idle (nothing in flight, no GC), where an op's latency equals
-    # its own service time because every stage queue is empty.
-    #
-    # Fluid (stable-backlog) epochs call the same two hooks with a
-    # ``pipeline`` (see :meth:`fluid_pipeline`): the stats counters and
-    # FTL page-map / aging effects are booked identically, but instead
-    # of an idle latency the hook returns the chunk's *service plan* —
-    # ``(ctrl_service, [(channel, service), ...])`` — which the fluid
-    # engine reserves against the virtual pipeline at the chunk's DDRR
-    # dispatch time.  Count and byte effects are therefore exact in
-    # both regimes; only the latency model differs (idle vs queued).
+    # but applied synchronously with no SQ slot, no reservation
+    # timeline, and no completion action.  Both hooks build the chunk's
+    # *service plan* — ``(ctrl_service, [(channel, service), ...])``.
+    # A quiet epoch (no ``pipeline``) is valid only while the device is
+    # idle, where every stage queue is empty and an op's latency is its
+    # own service: the controller time plus the longest channel service.
+    # A fluid (stable-backlog) epoch passes a ``pipeline`` (see
+    # :meth:`fluid_pipeline`) and gets the plan itself, which the fluid
+    # engine reserves at the chunk's DDRR dispatch time.  Count and byte
+    # effects are exact in both regimes; only the latency model differs
+    # (idle vs queued).
 
     def epoch_read(self, offset: int, size: int, pipeline=None):
         """Account one epoch read.
@@ -253,34 +295,11 @@ class SsdDevice:
         """
         profile = self.profile
         stats = self.stats
-        latency = profile.ctrl_overhead_read + size * profile.ctrl_byte_cost
-        stats.controller_busy += latency
+        ctrl = profile.ctrl_overhead_read + size * profile.ctrl_byte_cost
+        stats.controller_busy += ctrl
         stats.reads += 1
         stats.read_bytes += size
-        page = profile.page_size
-        byte_cost = profile.read_byte_cost
-        if (offset % page) + size <= page:
-            # Single-page read: one channel, transfer = requested bytes.
-            service = profile.read_access + size * byte_cost
-            stats.channel_busy += service
-            if pipeline is not None:
-                return latency, ((self.ftl.read_channel(offset), service),)
-            return latency + service
-        access = profile.read_access
-        if pipeline is not None:
-            services = []
-            for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-                service = access + nbytes * byte_cost
-                stats.channel_busy += service
-                services.append((chan, service))
-            return latency, services
-        longest = 0.0
-        for _chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-            service = access + nbytes * byte_cost
-            stats.channel_busy += service
-            if service > longest:
-                longest = service
-        return latency + longest
+        return self._epoch_plan(ctrl, self._read_services(offset, size), pipeline)
 
     def epoch_write(self, offset: int, size: int, pipeline=None):
         """Account one epoch write.
@@ -295,39 +314,35 @@ class SsdDevice:
         """
         profile = self.profile
         stats = self.stats
-        latency = profile.ctrl_overhead_write + size * profile.ctrl_byte_cost
-        stats.controller_busy += latency
-        prog = profile.prog_latency
-        page_cost = profile.page_size * profile.write_byte_cost
-        if pipeline is not None:
-            services = []
-            for chan, pages in self.ftl.host_write(offset, size).programs:
-                service = prog + pages * page_cost
-                stats.channel_busy += service
-                services.append((chan, service))
-            stats.writes += 1
-            stats.write_bytes += size
-            return latency, services
+        ctrl = profile.ctrl_overhead_write + size * profile.ctrl_byte_cost
+        stats.controller_busy += ctrl
+        stats.writes += 1
+        stats.write_bytes += size
+        return self._epoch_plan(ctrl, self._write_services(offset, size), pipeline)
+
+    def _epoch_plan(self, ctrl: float, services, pipeline):
+        """Book the plan's channel time; return the plan or its idle latency."""
+        stats = self.stats
         longest = 0.0
-        for _chan, pages in self.ftl.host_write(offset, size).programs:
-            service = prog + pages * page_cost
+        for _chan, service in services:
             stats.channel_busy += service
             if service > longest:
                 longest = service
-        stats.writes += 1
-        stats.write_bytes += size
-        return latency + longest
+        if pipeline is not None:
+            return ctrl, services
+        return ctrl + longest
 
     def fluid_pipeline(self) -> FluidPipeline:
         """Virtual reservation state seeded from the live accumulators.
 
-        The fluid engine advances this copy at virtual dispatch times;
-        the live ``_ctrl_free_at``/``_chan_free_at`` stay untouched, so
-        post-epoch event-driven IO sees exactly the stale-but-harmless
-        accumulator values a quiet fast-forward would have left behind
-        (``max(now, free_at)`` absorbs them).
+        The fluid engine advances this copy at virtual dispatch times,
+        booking each chunk on the lane of :meth:`queue_for` its tenant —
+        the same map live submission uses.  The live lanes and channels
+        stay untouched, so post-epoch event-driven IO sees exactly the
+        stale-but-harmless accumulator values a quiet fast-forward would
+        have left behind (``max(now, free_at)`` absorbs them).
         """
-        return FluidPipeline(self._ctrl_free_at, self._chan_free_at)
+        return FluidPipeline(self._ctrl_lanes, self._chan_free_at)
 
     def maybe_collect(self) -> None:
         """Start the background GC loop if the watermarks call for it.
@@ -339,171 +354,131 @@ class SsdDevice:
         """
         self._maybe_start_gc()
 
-    # -- zero-coroutine fast path -------------------------------------------------
+    # -- admission -----------------------------------------------------------------
 
-    def _admit_fast_read(self, offset: int, size: int, ctx) -> Optional[float]:
-        """Admit a read analytically; returns its finish time, or None.
+    def _submit(self, is_read, offset, size, ctx, callback, cb_arg) -> Optional[Process]:
+        """Admit one op on its tenant's SQ.
+
+        Fast path: books the op and schedules ``callback(cb_arg,
+        OK_RESULT)`` at its finish time, returning None.  Otherwise
+        starts and returns the coroutine fallback; the caller decides
+        how its completion is delivered.
+        """
+        q = 0 if ctx is None or self.num_queues == 1 else self.queue_for(ctx[1])
+        finish = self._admit_fast(is_read, q, offset, size, ctx)
+        if finish is None:
+            return self.sim.process(self._do_io(is_read, q, offset, size, ctx))
+        done = self._finish_fast_read if is_read else self._finish_fast_write
+        self.sim.call_at(finish, done, (callback, cb_arg, size, q))
+        return None
+
+    def _admit_fast(self, is_read: bool, q: int, offset: int, size: int, ctx) -> Optional[float]:
+        """Admit an op analytically; returns its finish time, or None.
 
         None means the op's timeline is stateful — a fault window is
-        active, the GC loop is reserving channel time, the NCQ is
-        saturated, or the range is invalid (the coroutine path owns the
-        failure semantics) — and nothing was reserved.  On success the
-        op holds an NCQ slot plus exactly the controller/channel
-        reservations the coroutine path would have booked at this
-        instant.
+        active, the GC loop is reserving channel time (or, for a write,
+        the free pool is starved), SQ ``q`` is full, no command tag is
+        free or earlier commands in ``q`` already wait for one (FIFO
+        within an SQ), or the range is invalid (the coroutine path owns
+        the failure semantics) — and nothing was reserved.  On success
+        the op holds an SQ slot, a tag, and exactly the reservations
+        the coroutine path would have booked at this instant.
         """
         if self._gc_running or not self.fast_path:
+            return None
+        if not is_read and self.ftl.host_starved:
             return None
         faults = self.faults
         if faults is not None and not faults.quiescent(self.sim.now):
             return None
-        profile = self.profile
-        if offset < 0 or size <= 0 or offset + size > profile.logical_capacity:
+        if offset < 0 or size <= 0 or offset + size > self.profile.logical_capacity:
             return None
-        if not self._ncq.try_acquire():
+        if self._free_tags == 0 or self._fetch_wait[q] or not self._sqs[q].try_acquire():
             return None
-        ready = self._reserve_controller(profile.ctrl_overhead_read, size, ctx)
-        finish = ready
-        access = profile.read_access
-        byte_cost = profile.read_byte_cost
-        reserve = self._reserve_channel
-        for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-            t = reserve(ready, chan, access + nbytes * byte_cost, ctx)
-            if t > finish:
-                finish = t
+        self._free_tags -= 1
+        finish = self._book(is_read, q, offset, size, ctx)
         # The coroutine path sleeps `finish - now`, landing on
         # now + (finish - now) — associate the same way so fast-path
         # completions are bitwise-identical to the fallback's.
         now = self.sim.now
         return now + (finish - now)
 
-    def _admit_fast_write(self, offset: int, size: int, ctx) -> Optional[float]:
-        """Write twin of :meth:`_admit_fast_read` (adds the GC checks)."""
-        if self._gc_running or not self.fast_path:
-            return None
-        ftl = self.ftl
-        if ftl.host_starved:
-            return None
-        faults = self.faults
-        if faults is not None and not faults.quiescent(self.sim.now):
-            return None
-        profile = self.profile
-        if offset < 0 or size <= 0 or offset + size > profile.logical_capacity:
-            return None
-        if not self._ncq.try_acquire():
-            return None
-        ready = self._reserve_controller(profile.ctrl_overhead_write, size, ctx)
-        finish = ready
-        prog = profile.prog_latency
-        page_cost = profile.page_size * profile.write_byte_cost
-        reserve = self._reserve_channel
-        for chan, pages in ftl.host_write(offset, size).programs:
-            t = reserve(ready, chan, prog + pages * page_cost, ctx)
-            if t > finish:
-                finish = t
-        # Same float association as the fallback's timeout (see read).
-        now = self.sim.now
-        return now + (finish - now)
-
     def _finish_fast_read(self, arg) -> None:
         """One-shot completion for a fast-path read.
 
-        Mirrors the coroutine epilogue exactly: observer, stats, NCQ
+        Mirrors the coroutine epilogue exactly: observer, stats, slot
         release (waking any waiter before the consumer runs), then the
         completion delivery.
         """
-        deliver, sink, size = arg
+        deliver, sink, size, q = arg
         if self.op_observer is not None:
             self.op_observer("read", size)
         stats = self.stats
         stats.reads += 1
         stats.read_bytes += size
-        self._ncq.release()
+        self._release(q)
         deliver(sink, OK_RESULT)
 
     def _finish_fast_write(self, arg) -> None:
         """One-shot completion for a fast-path write (kicks GC first)."""
-        deliver, sink, size = arg
+        deliver, sink, size, q = arg
         if self.op_observer is not None:
             self.op_observer("write", size)
         stats = self.stats
         stats.writes += 1
         stats.write_bytes += size
         self._maybe_start_gc()
-        self._ncq.release()
+        self._release(q)
         deliver(sink, OK_RESULT)
 
-    # -- op execution ------------------------------------------------------------
-
-    def _do_read(self, offset: int, size: int, ctx=None):
-        yield self._ncq.acquire()
+    def _do_io(self, is_read: bool, q: int, offset: int, size: int, ctx=None):
+        """Coroutine fallback for every op the fast path declines."""
+        yield self._sqs[q].acquire()
+        if self._free_tags > 0 and not self._fetch_wait[q]:
+            self._free_tags -= 1
+        else:
+            fetched = self.sim.event()
+            self._fetch_wait[q].append(fetched)
+            yield fetched  # the arbiter took the tag for us
         try:
+            if not is_read:
+                # Flow control: a fetched write stalls while the free
+                # pool is down to the GC reserve — the "write cliff" of
+                # a saturated SSD.  It holds its tag, so backpressure
+                # reaches the other queues; GC wakes it after every
+                # reclaimed block.
+                while self.ftl.host_starved:
+                    self._maybe_start_gc()
+                    yield self._gc_progress
             # Faults are drawn at admission (windows apply at op
             # arrival) but raised at completion: a failing op still
             # occupies the controller and channels for its service.
-            scale, extra, fault = yield from self._admit_faults(offset, size)
-            ready = self._reserve_controller(
-                self.profile.ctrl_overhead_read, size, ctx
-            )
-            finish = ready
-            for chan, _pages, nbytes in self.ftl.read_channels(offset, size):
-                service = (
-                    self.profile.read_access
-                    + nbytes * self.profile.read_byte_cost
-                ) * scale
-                finish = max(finish, self._reserve_channel(ready, chan, service, ctx))
-            finish += extra
+            scale, extra, fault = yield from self._admit_faults(offset, size, not is_read)
+            finish = self._book(is_read, q, offset, size, ctx, scale) + extra
             if finish > self.sim.now:
                 yield self.sim.timeout(finish - self.sim.now)
+            stats = self.stats
             if self.op_observer is not None:
-                self.op_observer("read", size)
+                self.op_observer("read" if is_read else "write", size)
             if fault is not None:
-                if isinstance(fault, CorruptionError):
-                    self.stats.corrupt_reads += 1
+                # A failed write's FTL mapping stands: a failed program
+                # may leave torn pages behind, exactly like real media.
+                if not is_read:
+                    stats.write_faults += 1
+                elif isinstance(fault, CorruptionError):
+                    stats.corrupt_reads += 1
                 else:
-                    self.stats.read_faults += 1
+                    stats.read_faults += 1
                 raise fault
-            self.stats.reads += 1
-            self.stats.read_bytes += size
-        finally:
-            self._ncq.release()
-
-    def _do_write(self, offset: int, size: int, ctx=None):
-        yield self._ncq.acquire()
-        try:
-            # Flow control: stall while the free pool is down to the GC
-            # reserve — the "write cliff" of a saturated SSD.  GC wakes
-            # us after every reclaimed block.
-            while self.ftl.host_starved:
+            if is_read:
+                stats.reads += 1
+                stats.read_bytes += size
+            else:
+                stats.writes += 1
+                stats.write_bytes += size
                 self._maybe_start_gc()
-                yield self._gc_progress
-            scale, extra, fault = yield from self._admit_faults(offset, size, write=True)
-            ready = self._reserve_controller(
-                self.profile.ctrl_overhead_write, size, ctx
-            )
-            plan = self.ftl.host_write(offset, size)
-            finish = ready
-            for chan, pages in plan.programs:
-                service = (
-                    self.profile.prog_latency
-                    + pages * self.profile.page_size * self.profile.write_byte_cost
-                ) * scale
-                finish = max(finish, self._reserve_channel(ready, chan, service, ctx))
-            finish += extra
-            if finish > self.sim.now:
-                yield self.sim.timeout(finish - self.sim.now)
-            if self.op_observer is not None:
-                self.op_observer("write", size)
-            if fault is not None:
-                # The FTL mapping above stands: a failed program may
-                # leave torn pages behind, exactly like real media.
-                self.stats.write_faults += 1
-                raise fault
-            self.stats.writes += 1
-            self.stats.write_bytes += size
-            self._maybe_start_gc()
         finally:
-            self._ncq.release()
+            self._release(q)
 
     def _admit_faults(self, offset: int, size: int, write: bool = False):
         """DES sub-generator: apply the fault plan at op admission.
@@ -531,22 +506,118 @@ class SsdDevice:
             fault = self.faults.draw_read_fault(now, offset, size)
         return scale, extra, fault
 
-    def _reserve_controller(self, overhead: float, size: int, ctx=None) -> float:
-        """FIFO-reserve controller service; return when the op clears it.
+    # -- tags and arbitration ------------------------------------------------------
+
+    def _release(self, q: int) -> None:
+        """Recycle an op's command tag and SQ slot."""
+        self._free_tags += 1
+        # Commands wait for a tag only while the pool is empty, so only
+        # the release that refills it can have anyone to grant.
+        if self._free_tags == 1:
+            self._arb_pump()
+        self._sqs[q].release()
+
+    def _arb_pump(self) -> None:
+        """Grant freed tags to waiting SQ heads per the arbitration policy."""
+        while self._free_tags > 0:
+            q = self._next_waiting_sq()
+            if q is None:
+                return
+            self._free_tags -= 1
+            self._fetch_wait[q].popleft().succeed()
+
+    def _next_waiting_sq(self) -> Optional[int]:
+        """Weighted-round-robin scan: next SQ with a waiting command.
+
+        Plain round-robin is the weight-1 special case.  The cursor
+        serves up to ``weight`` consecutive commands from one SQ (an
+        arbitration burst) before moving on.
+        """
+        waiting = self._fetch_wait
+        n = self.num_queues
+        for _ in range(n + 1):
+            q = self._arb_cursor
+            if self._burst_left > 0 and waiting[q]:
+                self._burst_left -= 1
+                return q
+            self._arb_cursor = (q + 1) % n
+            self._burst_left = self._weights[self._arb_cursor]
+        return None
+
+    # -- stages --------------------------------------------------------------------
+
+    def _read_services(self, offset: int, size: int):
+        """Channel plan of one read: ``[(channel, service), ...]``.
+
+        Sub-page reads move only the requested bytes off the flash
+        register.  A valid single-page read takes one map lookup; an
+        invalid range falls through to :meth:`Ftl.read_channels`, which
+        raises.
+        """
+        profile = self.profile
+        access = profile.read_access
+        byte_cost = profile.read_byte_cost
+        if (
+            0 < size <= profile.page_size - offset % profile.page_size
+            and 0 <= offset
+            and offset + size <= profile.logical_capacity
+        ):
+            return ((self.ftl.read_channel(offset), access + size * byte_cost),)
+        return [
+            (chan, access + nbytes * byte_cost)
+            for chan, _pages, nbytes in self.ftl.read_channels(offset, size)
+        ]
+
+    def _write_services(self, offset: int, size: int):
+        """Apply a write to the FTL; its channel plan ``[(channel, service), ...]``."""
+        profile = self.profile
+        prog = profile.prog_latency
+        page_cost = profile.page_size * profile.write_byte_cost
+        return [
+            (chan, prog + pages * page_cost)
+            for chan, pages in self.ftl.host_write(offset, size).programs
+        ]
+
+    def _book(self, is_read: bool, q: int, offset: int, size: int, ctx, scale=1.0) -> float:
+        """Reserve queue ``q``'s controller lane, then the op's channels.
+
+        Returns when the op's last channel finishes.  ``scale`` stretches
+        channel service (a degraded-bandwidth fault window).
+        """
+        profile = self.profile
+        if is_read:
+            ready = self._reserve_ctrl(q, profile.ctrl_overhead_read, size, ctx)
+            services = self._read_services(offset, size)
+        else:
+            ready = self._reserve_ctrl(q, profile.ctrl_overhead_write, size, ctx)
+            services = self._write_services(offset, size)
+        finish = ready
+        reserve = self._reserve_channel
+        for chan, service in services:
+            t = reserve(ready, chan, service * scale, ctx)
+            if t > finish:
+                finish = t
+        return finish
+
+    def _reserve_ctrl(self, q: int, overhead: float, size: int, ctx=None) -> float:
+        """FIFO-reserve queue ``q``'s controller lane; return when the op clears it.
 
         Reservation timestamps make stage occupancy known synchronously,
         so the span (start, finish) is recorded here rather than when
         the op's completion timeout fires.
         """
         service = overhead + size * self.profile.ctrl_byte_cost
-        start = max(self.sim.now, self._ctrl_free_at)
-        self._ctrl_free_at = start + service
+        lanes = self._ctrl_lanes
+        start = max(self.sim.now, lanes[q])
+        lanes[q] = start + service
         self.stats.controller_busy += service
         tr = self.tracer
         if tr is not None and tr.enabled:
             trace, tenant = ctx if ctx is not None else (None, None)
             tr.span(
-                "ctrl", "ssd", self.trace_name, "ctrl", start, start + service,
+                "ctrl", "ssd", self.trace_name,
+                "ctrl" if self.num_queues == 1 else f"ctrl{q}",
+                start, start + service,
                 trace=trace, args={"tenant": tenant} if tenant else None,
             )
         return start + service

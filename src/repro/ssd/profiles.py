@@ -40,8 +40,7 @@ class SsdProfile:
     name: str
     # Host interface / controller ------------------------------------------
     queue_depth: int = 32            # per-queue depth (paper runs NCQ at 32)
-    # NVMe queue architecture (ignored by the SATA SsdDevice; consumed by
-    # repro.ssd.nvme.NvmeDevice) ---------------------------------------------
+    # Queue architecture (SATA/NCQ is the one-queue case) ------------------
     num_queues: int = 1              # submission/completion queue pairs
     arbitration: str = "rr"          # SQ arbitration: "rr" | "wrr"
     wrr_weights: Optional[Tuple[int, ...]] = None  # per-SQ WRR credits

@@ -25,7 +25,7 @@ trial under a hybrid regime:
 - a second eligibility class covers **stable loaded backlogs**: when
   queues are *not* empty but the monitor's confirmation window shows
   the backlog drifting below tolerance (stationary arrivals, no GC
-  pressure, no fault window, no parked NVMe submission-queue commands),
+  pressure, no fault window, no commands parked in submission queues),
   the runner drains the live system to quiet and replays the same
   seeded arrivals through :class:`_FluidEngine` — an analytic DDRR
   round schedule (:meth:`~repro.core.scheduler.LibraScheduler.plan_rounds`)
@@ -263,7 +263,7 @@ class _FluidEngine:
     queues empty — and places each task's latency mass at its virtual
     dispatch time: queue-wait from the fluid backlog plus the chunk
     service plan reserved against a :class:`~repro.ssd.FluidPipeline`
-    snapshot of the device's controller/channel accumulators.
+    snapshot of the device's per-queue controller lanes and channels.
 
     Exactness: task/op/byte/VOP counts never touch the fluid model.
     They are produced by ``credit_epoch`` and the device epoch hooks
@@ -394,6 +394,9 @@ class _FluidEngine:
         dispatch = at + wait
         device = self.device
         pipeline = self.pipeline
+        # The tenant's chunks clear the controller lane of the SQ live
+        # submission would put them on.
+        q = device.queue_for(st.spec.name)
         chunk = self.chunk
         latency = 0.0
         pos = 0
@@ -401,7 +404,7 @@ class _FluidEngine:
             while pos < size:
                 length = min(chunk, size - pos)
                 ctrl, services = device.epoch_read(offset + pos, length, pipeline)
-                finish = pipeline.reserve(dispatch, ctrl, services)
+                finish = pipeline.reserve(dispatch, q, ctrl, services)
                 if finish - at > latency:
                     latency = finish - at
                 pos += length
@@ -410,7 +413,7 @@ class _FluidEngine:
             while pos < size:
                 length = min(chunk, size - pos)
                 ctrl, services = device.epoch_write(offset + pos, length, pipeline)
-                finish = pipeline.reserve(dispatch, ctrl, services)
+                finish = pipeline.reserve(dispatch, q, ctrl, services)
                 if finish - at > latency:
                     latency = finish - at
                 pos += length
@@ -577,16 +580,11 @@ class _EpochRunner:
     def _busy(self) -> bool:
         """Any queued or in-flight work anywhere in the stack?
 
-        Includes per-SQ NVMe backlogs, which ``device.in_flight`` does
-        not cover — the fluid handover must drain those too.
+        ``device.in_flight`` counts every occupied SQ slot, including
+        commands still waiting for a controller tag, so the fluid
+        handover drains every submission queue too.
         """
-        if self.scheduler.backlog > 0 or self.device.in_flight > 0:
-            return True
-        queue_backlogs = getattr(self.device, "queue_backlogs", None)
-        if queue_backlogs is not None and any(queue_backlogs):
-            return True
-        fetch_backlogs = getattr(self.device, "fetch_backlogs", None)
-        return fetch_backlogs is not None and any(fetch_backlogs)
+        return self.scheduler.backlog > 0 or self.device.in_flight > 0
 
     # -- fast-forward mode ---------------------------------------------------
 
@@ -844,9 +842,7 @@ class _EpochRunner:
             self._segment(now, t1, "des", reason, tasks, regime="des")
             monitor.note_segment("des", reason, t1 - now)
         # Drain: complete in-flight IO without committing to wall time.
-        sim.step_while(
-            lambda: self.scheduler.backlog > 0 or self.device.in_flight > 0
-        )
+        sim.step_while(self._busy)
 
 
 def run_epoch_trial(
@@ -865,7 +861,6 @@ def run_epoch_trial(
     headroom: float = 0.85,
     audit: bool = False,
     device_seed: int = 11,
-    device: str = "ssd",
     fluid: bool = True,
     confirm_window: float = 0.1,
     confirm_samples: int = 3,
@@ -888,21 +883,13 @@ def run_epoch_trial(
     agreement, with queue-wait latency mass.  ``audit=True`` attaches a
     :class:`~repro.obs.VopAudit` and stores its :meth:`summary` —
     fast-forwarded charges reconcile at 1.0000 by construction.
-    ``device="nvme"`` runs the trial on the multi-queue
-    :class:`~repro.ssd.NvmeDevice` (epoch accounting is inherited, so
-    fast-forward agrees with DES there too).
+    The device has ``profile.num_queues`` submission queues; pass
+    ``profile.with_queues(n)`` for a multi-queue trial.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     sim = Simulator()
-    if device == "ssd":
-        device = SsdDevice(sim, profile, seed=device_seed, fault_plan=fault_plan)
-    elif device == "nvme":
-        from ..ssd.nvme import NvmeDevice
-
-        device = NvmeDevice(sim, profile, seed=device_seed, fault_plan=fault_plan)
-    else:
-        raise ValueError(f"unknown device kind {device!r} (ssd|nvme)")
+    device = SsdDevice(sim, profile, seed=device_seed, fault_plan=fault_plan)
     if isinstance(cost_model, str):
         cost_model = make_cost_model(cost_model, reference_calibration(profile.name))
     scheduler = LibraScheduler(sim, device, cost_model, config=scheduler_config)

@@ -111,9 +111,8 @@ class DeviceEnv:
     (:class:`~repro.ssd.SurrogateDevice`) — no FTL, no preconditioning,
     latencies sampled from the committed surrogate artifact — for
     sweeps where distribution shape matters more than structural
-    fidelity.  ``device="nvme"`` builds the multi-queue
-    :class:`~repro.ssd.NvmeDevice` (queue count/arbitration from the
-    profile's NVMe fields).
+    fidelity.  The structural device takes its queue count and
+    arbitration from the profile (``profile.with_queues(n)``).
     """
 
     def __init__(self, profile: SsdProfile, seed: int = 11, device: str = "ssd"):
@@ -121,16 +120,12 @@ class DeviceEnv:
         self.sim = Simulator()
         if device == "ssd":
             self.device = SsdDevice(self.sim, profile, seed=seed)
-        elif device == "nvme":
-            from ..ssd.nvme import NvmeDevice
-
-            self.device = NvmeDevice(self.sim, profile, seed=seed)
         elif device == "surrogate":
             from ..ssd.surrogate import SurrogateDevice
 
             self.device = SurrogateDevice(self.sim, profile, seed=seed)
         else:
-            raise ValueError(f"unknown device kind {device!r} (ssd|nvme|surrogate)")
+            raise ValueError(f"unknown device kind {device!r} (ssd|surrogate)")
 
 
 def run_raw_trial(

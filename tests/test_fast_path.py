@@ -114,9 +114,8 @@ def test_quiet_serial_ops_never_reach_the_coroutine_path():
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(), seed=2)
     calls = []
-    original_read, original_write = device._do_read, device._do_write
-    device._do_read = lambda *a, **k: calls.append("r") or original_read(*a, **k)
-    device._do_write = lambda *a, **k: calls.append("w") or original_write(*a, **k)
+    original = device._do_io
+    device._do_io = lambda *a, **k: calls.append("rw"[not a[0]]) or original(*a, **k)
 
     def driver():
         for k in range(50):
@@ -133,8 +132,8 @@ def test_fast_path_off_forces_the_coroutine_path():
     sim = Simulator()
     device = SsdDevice(sim, tiny_profile(), seed=2, fast_path=False)
     calls = []
-    original_read = device._do_read
-    device._do_read = lambda *a, **k: calls.append("r") or original_read(*a, **k)
+    original = device._do_io
+    device._do_io = lambda *a, **k: calls.append("rw"[not a[0]]) or original(*a, **k)
 
     def driver():
         yield device.read(0, 4 * KIB)

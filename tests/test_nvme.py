@@ -1,12 +1,16 @@
-"""Multi-queue NVMe device tests.
+"""Multi-queue device tests.
 
 The load-bearing guarantees:
 
-- **pinned equivalence** — ``queues=1, depth=32`` reproduces the SATA
-  ``SsdDevice`` bit-for-bit (tasks, ops, bytes, stats, simulated end
-  time) on a pinned seeded workload, fast path on or off;
+- **pinned fingerprints** — a seeded closed loop reproduces recorded
+  fingerprints (tasks, ops, bytes, stats, simulated end time) exactly:
+  one queue (fast path, coroutine path, fault plan) and four queues
+  (fast and coroutine paths).  The one-queue fingerprints were recorded
+  from the SATA device before it and the multi-queue device became one
+  class, so the SATA model is pinned as the ``num_queues=1`` case;
 - per-submitter queue mapping, RR/WRR arbitration under command-tag
-  contention, and the scheduler/epoch/audit stack running unchanged.
+  contention, fluid-epoch booking on per-queue controller lanes, and
+  the scheduler/epoch/audit stack running unchanged.
 """
 
 import random
@@ -16,12 +20,29 @@ import pytest
 from repro.faults import FaultKind, FaultPlan, FaultWindow
 from repro.sim import Simulator
 from repro.sim.fluid import SteadyStateMonitor
-from repro.ssd import NvmeDevice, SsdDevice, SsdProfile, get_profile
+from repro.ssd import SsdDevice, SsdProfile, get_profile
 from repro.workload.epoch import EpochTenantSpec, run_epoch_trial
 from repro.workload.iobench import DeviceEnv, run_interference_trial
 
 KIB = 1024
 MIB = 1024 * 1024
+
+#: run_pinned fingerprints, repr-exact:
+#: (sim end, tasks, fails, reads, writes, read_bytes, write_bytes,
+#:  gc_runs, gc_pages_copied, gc_blocks_erased, controller_busy,
+#:  channel_busy, read_faults, write_faults, stall_seconds)
+ONE_QUEUE = (
+    0.7820281274610213, 3200, 0, 1613, 1587, 56557568, 30269440, 203, 4755,
+    203, 0.4185020267857106, 5.9512648437504065, 0, 0, 0.0,
+)
+ONE_QUEUE_FAULTS = (
+    0.8593585266603725, 3200, 105, 1508, 1587, 52932608, 30269440, 203, 4766,
+    203, 0.4185020267857106, 6.588861250000545, 105, 0, 0.0,
+)
+FOUR_QUEUES = (
+    1.5438297762473001, 3200, 0, 1607, 1593, 56225792, 30380032, 205, 4247,
+    205, 0.417946678571425, 5.616478593750228, 0, 0, 0.0,
+)
 
 
 def tiny_profile(**overrides) -> SsdProfile:
@@ -32,10 +53,10 @@ def tiny_profile(**overrides) -> SsdProfile:
     return SsdProfile(**defaults)
 
 
-def run_pinned(cls, profile, fast_path=True, fault_plan=None, n_tenants=8, ops=400):
+def run_pinned(profile, fast_path=True, fault_plan=None, n_tenants=8, ops=400):
     """A pinned seeded closed loop; returns the full observable fingerprint."""
     sim = Simulator()
-    dev = cls(sim, profile, seed=7, fast_path=fast_path, fault_plan=fault_plan)
+    dev = SsdDevice(sim, profile, seed=7, fast_path=fast_path, fault_plan=fault_plan)
     rng = random.Random(42)
     counts = {"tasks": 0, "fails": 0}
 
@@ -64,22 +85,18 @@ def run_pinned(cls, profile, fast_path=True, fault_plan=None, n_tenants=8, ops=4
 
 
 # ---------------------------------------------------------------------------
-# Pinned equivalence: queues=1 == SATA
+# Pinned fingerprints: one queue is the SATA device
 # ---------------------------------------------------------------------------
 
 def test_queues1_matches_sata_fast_path():
     profile = get_profile("intel320").with_capacity(32 * MIB)
     assert profile.num_queues == 1 and profile.queue_depth == 32
-    assert run_pinned(SsdDevice, profile) == run_pinned(NvmeDevice, profile)
+    assert run_pinned(profile) == ONE_QUEUE
 
 
 def test_queues1_matches_sata_slow_path():
     profile = get_profile("intel320").with_capacity(32 * MIB)
-    sata = run_pinned(SsdDevice, profile, fast_path=False)
-    nvme = run_pinned(NvmeDevice, profile, fast_path=False)
-    assert sata == nvme
-    # ...and the slow path is itself identical to the fast path.
-    assert sata == run_pinned(SsdDevice, profile, fast_path=True)
+    assert run_pinned(profile, fast_path=False) == ONE_QUEUE
 
 
 def test_queues1_matches_sata_under_faults():
@@ -89,24 +106,19 @@ def test_queues1_matches_sata_under_faults():
         FaultWindow(FaultKind.DEGRADED_BW, 0.3, 0.5, slowdown=2.0)
     )
     profile = get_profile("intel320").with_capacity(32 * MIB)
-    sata = run_pinned(SsdDevice, profile, fault_plan=plan)
-    nvme = run_pinned(NvmeDevice, profile, fault_plan=plan)
-    assert sata == nvme
-    assert sata[12] > 0  # read faults actually injected
+    fingerprint = run_pinned(profile, fault_plan=plan)
+    assert fingerprint == ONE_QUEUE_FAULTS
+    assert fingerprint[12] > 0  # read faults actually injected
 
 
 def test_multi_queue_is_deterministic():
     profile = tiny_profile(num_queues=4)
-    a = run_pinned(NvmeDevice, profile)
-    b = run_pinned(NvmeDevice, profile)
-    assert a == b
+    assert run_pinned(profile) == FOUR_QUEUES
 
 
 def test_multi_queue_fast_slow_paths_agree():
     profile = tiny_profile(num_queues=4)
-    assert run_pinned(NvmeDevice, profile) == run_pinned(
-        NvmeDevice, profile, fast_path=False
-    )
+    assert run_pinned(profile, fast_path=False) == FOUR_QUEUES
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +128,19 @@ def test_multi_queue_fast_slow_paths_agree():
 def test_queue_assignment_round_robin_by_first_submission():
     profile = tiny_profile(num_queues=4)
     sim = Simulator()
-    dev = NvmeDevice(sim, profile, seed=1)
+    dev = SsdDevice(sim, profile, seed=1)
     for i, name in enumerate(["a", "b", "c", "d", "e"]):
         dev.read(0, 4 * KIB, (None, name))
-        assert dev._queue_for((None, name)) == i % 4
+        assert dev.queue_for(name) == i % 4
     # Anonymous submitters share SQ 0.
-    assert dev._queue_for(None) == 0
-    assert dev._queue_for((None, None)) == 0
+    assert dev.queue_for(None) == 0
     sim.run()
 
 
 def test_host_visible_depth_is_aggregate():
     profile = tiny_profile(num_queues=4, queue_depth=16)
     sim = Simulator()
-    dev = NvmeDevice(sim, profile, seed=1)
+    dev = SsdDevice(sim, profile, seed=1)
     assert dev.queue_depth == 64
     assert dev.in_flight == 0
     assert dev.queue_backlogs == [0, 0, 0, 0]
@@ -152,9 +163,9 @@ def test_multi_queue_lifts_small_read_iops():
         channels=16, ctrl_overhead_read=20e-6, logical_capacity=64 * MIB
     )
 
-    def iops(profile, device_cls):
+    def iops(profile):
         sim = Simulator()
-        dev = device_cls(sim, profile, seed=3)
+        dev = SsdDevice(sim, profile, seed=3)
         rng = random.Random(3)
         done = {"n": 0}
         horizon = 0.2
@@ -170,8 +181,8 @@ def test_multi_queue_lifts_small_read_iops():
         sim.run(until=horizon)
         return done["n"]
 
-    single = iops(tiny_profile(**ctrl_bound), SsdDevice)
-    multi = iops(tiny_profile(num_queues=8, **ctrl_bound), NvmeDevice)
+    single = iops(tiny_profile(**ctrl_bound))
+    multi = iops(tiny_profile(num_queues=8, **ctrl_bound))
     assert multi > 1.5 * single
 
 
@@ -179,7 +190,7 @@ def test_command_tag_contention_engages():
     """With a tiny tag pool, commands queue for fetch and still complete."""
     profile = tiny_profile(num_queues=4, queue_depth=8, core_tags=2)
     sim = Simulator()
-    dev = NvmeDevice(sim, profile, seed=2)
+    dev = SsdDevice(sim, profile, seed=2)
     rng = random.Random(5)
     saw_wait = {"max": 0}
     done = {"n": 0}
@@ -209,7 +220,7 @@ def test_wrr_favors_weighted_queue():
             arbitration=arbitration, wrr_weights=weights,
         )
         sim = Simulator()
-        dev = NvmeDevice(sim, profile, seed=4)
+        dev = SsdDevice(sim, profile, seed=4)
         rng = random.Random(6)
         horizon = 0.15
         done = {0: 0, 1: 0}
@@ -235,7 +246,7 @@ def test_wrr_favors_weighted_queue():
 def test_gc_runs_under_sustained_overwrite():
     profile = tiny_profile(num_queues=4)
     sim = Simulator()
-    dev = NvmeDevice(sim, profile, seed=8)
+    dev = SsdDevice(sim, profile, seed=8)
     rng = random.Random(8)
 
     def writer(name):
@@ -250,17 +261,74 @@ def test_gc_runs_under_sustained_overwrite():
     assert dev.stats.gc_pages_copied > 0
 
 
+@pytest.mark.parametrize("queues", [1, 4])
+def test_fluid_pipeline_books_like_the_live_fast_path(queues):
+    """From an idle device, one ``(time, tenant, op)`` sequence booked
+    live (clock at each time, all on the fast path) and through a fresh
+    :meth:`SsdDevice.fluid_pipeline` gives identical finish times: each
+    chunk clears the controller lane of its tenant's SQ, then its
+    channels, exactly as live submission books it."""
+    profile = get_profile("intel320").with_capacity(32 * MIB).with_queues(queues)
+    page = profile.page_size
+    rng = random.Random(9)
+    ops = []
+    at = 0.0
+    for _ in range(400):
+        at += rng.expovariate(3000.0)
+        ops.append((
+            at, f"t{rng.randrange(6)}", rng.random() < 0.8,
+            rng.randrange(0, (profile.logical_capacity - 64 * KIB) // page) * page,
+            rng.choice([4 * KIB, 16 * KIB, 64 * KIB]),
+        ))
+
+    sim = Simulator()
+    live = SsdDevice(sim, profile, seed=5)
+    finished = {}
+
+    def no_fallback(*_args):
+        raise AssertionError("op left the fast path")
+
+    def record(i, result):
+        assert result.ok
+        finished[i] = sim.now
+
+    def submit(i):
+        _at, tenant, is_read, offset, size = ops[i]
+        live.submit(is_read, offset, size, (None, tenant), record, i)
+
+    live._do_io = no_fallback
+    for i, op in enumerate(ops):
+        sim.call_at(op[0], submit, i)
+    sim.run()
+    assert live.stats.gc_runs == 0 and len(finished) == len(ops)
+
+    twin = SsdDevice(Simulator(), profile, seed=5)
+    pipeline = twin.fluid_pipeline()
+    queued = 0
+    for i, (at, tenant, is_read, offset, size) in enumerate(ops):
+        hook = twin.epoch_read if is_read else twin.epoch_write
+        ctrl, services = hook(offset, size, pipeline)
+        q = twin.queue_for(tenant)
+        queued += pipeline.lanes[q] > at
+        finish = pipeline.reserve(at, q, ctrl, services)
+        # Live completions land on at + (finish - at) (SsdDevice._admit_fast).
+        assert at + (finish - at) == finished[i], i
+    assert queued > 0  # some chunks waited behind their lane
+    assert vars(twin.stats) == vars(live.stats)
+    assert pipeline.lanes == live._ctrl_lanes
+
+
 def test_profile_validation():
     with pytest.raises(ValueError, match="arbitration"):
-        NvmeDevice(Simulator(), tiny_profile(arbitration="priority"), seed=1)
+        SsdDevice(Simulator(), tiny_profile(arbitration="priority"), seed=1)
     with pytest.raises(ValueError, match="entries"):
-        NvmeDevice(
+        SsdDevice(
             Simulator(),
             tiny_profile(num_queues=4, arbitration="wrr", wrr_weights=(1, 2)),
             seed=1,
         )
     with pytest.raises(ValueError, match=">= 1"):
-        NvmeDevice(
+        SsdDevice(
             Simulator(),
             tiny_profile(num_queues=2, arbitration="wrr", wrr_weights=(1, 0)),
             seed=1,
@@ -287,7 +355,7 @@ def test_scheduler_runs_on_nvme_with_clean_audit():
     profile = get_profile("intel320").with_capacity(64 * MIB).with_queues(4)
     cost_model = make_cost_model("exact", reference_calibration(profile.name))
     audit = VopAudit(cost_model)
-    env = DeviceEnv(profile, seed=13, device="nvme")
+    env = DeviceEnv(profile, seed=13)
     trial = run_interference_trial(
         profile, read_size=4 * KIB, write_size=32 * KIB,
         duration=0.1, warmup=0.05, seed=13,
@@ -309,14 +377,8 @@ def test_epoch_fast_forward_agrees_with_des_on_nvme():
         EpochTenantSpec(name=f"t{i}", rate=2000.0, read_fraction=1.0)
         for i in range(3)
     ]
-    des = run_epoch_trial(
-        profile, specs, 1.5, seed=21, fast_forward=False, audit=True,
-        device="nvme",
-    )
-    ff = run_epoch_trial(
-        profile, specs, 1.5, seed=21, fast_forward=True, audit=True,
-        device="nvme",
-    )
+    des = run_epoch_trial(profile, specs, 1.5, seed=21, fast_forward=False, audit=True)
+    ff = run_epoch_trial(profile, specs, 1.5, seed=21, fast_forward=True, audit=True)
     assert ff.ff_fraction > 0.5  # the jump actually happened
     assert des.total_tasks == ff.total_tasks
     assert des.total_ops == ff.total_ops
@@ -326,14 +388,16 @@ def test_epoch_fast_forward_agrees_with_des_on_nvme():
 
 
 def test_device_env_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="nvme"):
-        DeviceEnv(tiny_profile(), device="optane")
-    with pytest.raises(ValueError, match="nvme"):
+    """Queue count comes from the profile, never from a device kind."""
+    for kind in ("optane", "nvme"):
+        with pytest.raises(ValueError, match=r"\(ssd\|surrogate\)"):
+            DeviceEnv(tiny_profile(), device=kind)
+    with pytest.raises(TypeError, match="device"):
         run_epoch_trial(
             tiny_profile(),
             [EpochTenantSpec(name="t0", rate=100.0)],
             0.1,
-            device="optane",
+            device="nvme",
         )
 
 
