@@ -30,6 +30,11 @@ __all__ = ["Ftl", "WritePlan", "GcMove"]
 
 UNMAPPED = -1
 
+#: host appends ``precondition`` materializes at a time; keeps its
+#: temporary arrays small (large transient numpy buffers leave the
+#: process heap grown, raising peak RSS for the rest of the run)
+_PRECONDITION_CHUNK = 1 << 13
+
 
 @dataclass
 class WritePlan:
@@ -88,9 +93,12 @@ class Ftl:
         self.block_valid = np.zeros(n_blocks, dtype=np.int32)
         #: physical block -> channel it was allocated on (-1 while free)
         self.block_channel = np.full(n_blocks, -1, dtype=np.int16)
-        #: physical block -> logical pages appended to it (lazy: may list
-        #: pages that were since overwritten; bounded by pages_per_block)
-        self.block_pages: List[List[int]] = [[] for _ in range(n_blocks)]
+        #: physical block -> logical page appended at each slot, in append
+        #: order (lazy: may hold pages since overwritten).  Slots at or past
+        #: an open block's fill are stale; closed blocks are always full.
+        self.block_slots = np.zeros(
+            (n_blocks, profile.pages_per_block), dtype=np.int32
+        )
         self.free_blocks: Deque[int] = deque(range(n_blocks))
         #: host page-write clock and per-block birth stamp (block age for
         #: cost-benefit scoring; maintained unconditionally — two integer
@@ -111,7 +119,6 @@ class Ftl:
         self._gc_fill: List[int] = [0] * profile.channels
         self._gc_cursor = 0
         self._routed = n_streams > 1
-        self._in_gc = False
         self.emergency_gcs = 0
         self.policy.bind(self)
         # Watermarks depend only on construction-time constants; they
@@ -275,7 +282,7 @@ class Ftl:
         cursor[stream] = (start + 1) % nchan
         for i, p in enumerate(pages):
             chan = (start + i // stripe) % nchan
-            self._append_page(p, gc=False, channel=chan, stream=stream)
+            self._append_page(p, chan, stream)
             programs[chan] += 1
         if self._routed:
             self.policy.note_host_write(self, pages)
@@ -295,22 +302,16 @@ class Ftl:
                 freed += 1
         return freed
 
-    def _append_page(
-        self, logical_page: int, gc: bool, channel: int, stream: int = 0
-    ) -> int:
-        """Append one logical page to ``channel``'s active block.
+    def _append_page(self, logical_page: int, channel: int, stream: int = 0) -> None:
+        """Append one host page to ``channel``'s active block in ``stream``.
 
-        Invalidates the previous copy.  Returns the channel (for
-        symmetry with callers that compute it).
+        Invalidates the previous copy.
         """
         old = self.page_to_block[logical_page]
         if old != UNMAPPED:
             self.block_valid[old] -= 1
-        if gc:
-            active, fill = self._gc_active, self._gc_fill
-        else:
-            active, fill = self._host_active[stream], self._host_fill[stream]
-            self.write_seq += 1
+        active, fill = self._host_active[stream], self._host_fill[stream]
+        self.write_seq += 1
         block = active[channel]
         if block is None or fill[channel] >= self.profile.pages_per_block:
             block = self._allocate_block(channel)
@@ -318,9 +319,8 @@ class Ftl:
             fill[channel] = 0
         self.page_to_block[logical_page] = block
         self.block_valid[block] += 1
-        self.block_pages[block].append(logical_page)
+        self.block_slots[block, fill[channel]] = logical_page
         fill[channel] += 1
-        return channel
 
     def _allocate_block(self, channel: int) -> int:
         if not self.free_blocks:
@@ -328,18 +328,12 @@ class Ftl:
             # The device-level flow control (host writes stall while
             # ``host_starved``) is sized to make this unreachable; count
             # it so tests can assert the background GC keeps up.
-            if self._in_gc:
-                raise RuntimeError(
-                    "FTL exhausted: GC needs a destination block but the "
-                    "free pool is empty (reserve misconfigured)"
-                )
             self.emergency_gcs += 1
             move = self.collect_victim()
             if move is None:
                 raise RuntimeError("FTL out of space: no GC victim available")
         block = self.free_blocks.popleft()
         self.block_channel[block] = channel
-        self.block_pages[block] = []
         self.block_seq[block] = self.write_seq
         return block
 
@@ -368,35 +362,47 @@ class Ftl:
         if victim is None:
             return None
         victim_channel = int(self.block_channel[victim])
-        # Mark the victim as in-evacuation so re-entrant victim picks
-        # (GC allocating its own destination blocks) cannot select it.
-        self.block_channel[victim] = -2
-        self._in_gc = True
-        copies = [0] * self.profile.channels
-        moved = 0
         nchan = self.profile.channels
+        ppb = self.profile.pages_per_block
         stripe = self.profile.stripe_pages
         start = self._gc_cursor
         self._gc_cursor = (start + 1) % nchan
-        try:
-            for p in self.block_pages[victim]:
-                if self.page_to_block[p] == victim:  # still live here
-                    chan = (start + moved // stripe) % nchan
-                    self._append_page(p, gc=True, channel=chan)
-                    copies[chan] += 1
-                    moved += 1
-        finally:
-            self._in_gc = False
+        # Live pages in slot order; a page appended to the victim twice
+        # moves once, from its first slot.
+        slots = self.block_slots[victim]
+        live = list(dict.fromkeys(slots[self.page_to_block[slots] == victim].tolist()))
+        active, fill = self._gc_active, self._gc_fill
+        copies = [0] * nchan
+        dest: List[int] = []
+        dest_slot: List[int] = []
+        for i in range(len(live)):
+            chan = (start + i // stripe) % nchan
+            block = active[chan]
+            if block is None or fill[chan] >= ppb:
+                if not self.free_blocks:
+                    raise RuntimeError(
+                        "FTL exhausted: GC needs a destination block but the "
+                        "free pool is empty (reserve misconfigured)"
+                    )
+                block = active[chan] = self._allocate_block(chan)
+                fill[chan] = 0
+            dest.append(block)
+            dest_slot.append(fill[chan])
+            fill[chan] += 1
+            copies[chan] += 1
+        if live:
+            self.page_to_block[live] = dest
+            self.block_slots[dest, dest_slot] = live
+            np.add.at(self.block_valid, dest, 1)
         # Erase: back to the free pool.
         self.block_valid[victim] = 0
         self.block_channel[victim] = -1
-        self.block_pages[victim] = []
         self.free_blocks.append(victim)
         return GcMove(
             victim=victim,
             victim_channel=victim_channel,
             copies=[(c, n) for c, n in enumerate(copies) if n],
-            valid_pages=moved,
+            valid_pages=len(live),
         )
 
     # -- preconditioning --------------------------------------------------------
@@ -411,24 +417,130 @@ class Ftl:
         would.  This converges the per-block valid-count distribution to
         the greedy-GC steady state so write workloads see realistic
         (finite!) write amplification from their first IO.
+
+        The result is exactly that of appending one page at a time and
+        collecting whenever ``gc_needed`` flips, but host appends are
+        applied in bulk: each window runs up to the append that
+        allocates the block taking the pool to the low watermark, then
+        GC runs.
         """
         if age_factor < 0:
             raise ValueError(f"age_factor {age_factor} must be >= 0")
         n_pages = self.profile.logical_pages
         nchan = self.profile.channels
         stripe = self.profile.stripe_pages
-        for p in range(n_pages):
-            # LBA-ordered fill, striped so sequential reads parallelize.
-            self._append_page(p, gc=False, channel=(p // stripe) % nchan)
-            if self.gc_needed:
-                self._sync_gc()
-        for i in range(int(n_pages * age_factor)):
-            chan = (self._host_cursor[0] + i) % nchan
-            self._append_page(self.rng.randrange(n_pages), gc=False, channel=chan)
-            if self.gc_needed:
-                self._sync_gc()
+        cursor = self._host_cursor[0]
+        # LBA-ordered fill striped so sequential reads parallelize, then
+        # random overwrites rotating channels from the host cursor.
+        for lo in range(0, n_pages, _PRECONDITION_CHUNK):
+            pages = np.arange(lo, min(lo + _PRECONDITION_CHUNK, n_pages))
+            self._append_with_gc(pages, pages // stripe % nchan)
+        n_age = int(n_pages * age_factor)
+        for lo in range(0, n_age, _PRECONDITION_CHUNK):
+            i = np.arange(lo, min(lo + _PRECONDITION_CHUNK, n_age))
+            self._append_with_gc(self._draw_pages(n_pages, len(i)), (cursor + i) % nchan)
         self._sync_gc()
         self.emergency_gcs = 0
+
+    def _append_with_gc(self, pages: np.ndarray, chans: np.ndarray) -> None:
+        """Host-append ``pages`` to ``chans``, collecting at each GC trigger."""
+        chans = chans.astype(np.int16)  # small ints: the stable argsort is a radix sort
+        pos = 0
+        while pos < len(pages):
+            budget = len(self.free_blocks) - self._gc_low_blocks
+            if budget > 0:
+                pos += self._append_run(pages[pos:], chans[pos:], budget)
+            else:  # already at the trigger: GC follows the next append
+                self._append_page(int(pages[pos]), int(chans[pos]))
+                pos += 1
+            if self.gc_needed:
+                self._sync_gc()
+
+    def _draw_pages(self, n: int, count: int) -> np.ndarray:
+        """``count`` successive ``self.rng.randrange(n)`` values, in bulk.
+
+        ``randrange(n)`` draws ``getrandbits(k)``, ``k = n.bit_length()``,
+        until a value is below ``n``; for ``k <= 32`` each draw is the top
+        ``k`` bits of one 32-bit Mersenne Twister word, and
+        ``getrandbits(32 * m)`` is the next ``m`` words, least significant
+        first.  Each round takes exactly as many words as values are still
+        missing, so no word beyond the last accepted one is consumed: the
+        values and the final RNG state match one-at-a-time draws.
+        """
+        k = n.bit_length()
+        if k > 32:
+            raise ValueError(f"{n} logical pages exceed 32-bit page numbers")
+        out = [np.empty(0, dtype=np.int64)]
+        need = count
+        while need:
+            raw = self.rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            vals = np.frombuffer(raw, dtype="<u4") >> (32 - k)
+            vals = vals[vals < n]
+            out.append(vals.astype(np.int64))
+            need -= len(vals)
+        return np.concatenate(out)
+
+    def _append_run(self, pages: np.ndarray, chans: np.ndarray, max_allocs: int) -> int:
+        """Append host ``pages[i]`` to channel ``chans[i]`` in order, in bulk.
+
+        Leaves the state of one :meth:`_append_page` per page (stream 0),
+        stopping after the append that allocates the ``max_allocs``-th new
+        block; the free pool must hold that many.  Returns the number of
+        pages appended.
+        """
+        ppb = self.profile.pages_per_block
+        nchan = self.profile.channels
+        active, fill = self._host_active[0], self._host_fill[0]
+        # Every ppb appends on a channel allocate at least one block, so
+        # this prefix reaches the max_allocs-th allocation if any does.
+        n = min(len(pages), (max_allocs + nchan) * ppb)
+        pages, chans = pages[:n], chans[:n]
+        # Slot position of each append along its channel, counted from the
+        # open block's first slot; a channel with no open block starts full.
+        start = np.array([ppb if b is None else f for b, f in zip(active, fill)])
+        counts = np.bincount(chans, minlength=nchan)
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(chans, kind="stable")] = np.arange(n) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        position = start[chans] + rank
+        slot = position % ppb
+        nth = position // ppb  # 0: the open block, k: the channel's k-th new one
+        alloc_at = np.flatnonzero((slot == 0) & (nth > 0))
+        if len(alloc_at) >= max_allocs:
+            alloc_at = alloc_at[:max_allocs]
+            n = int(alloc_at[-1]) + 1
+            pages, chans, slot, nth = pages[:n], chans[:n], slot[:n], nth[:n]
+        # Free blocks are popped in global append order, each stamped with
+        # the host clock of the append that opened it.
+        fresh = np.array(
+            [self.free_blocks.popleft() for _ in range(len(alloc_at))],
+            dtype=np.int64,
+        )
+        self.block_channel[fresh] = chans[alloc_at]
+        self.block_seq[fresh] = self.write_seq + 1 + alloc_at
+        lut = np.full((nchan, int(nth.max()) + 1), UNMAPPED, dtype=np.int64)
+        lut[:, 0] = [UNMAPPED if b is None else b for b in active]
+        lut[chans[alloc_at], nth[alloc_at]] = fresh
+        block = lut[chans, nth]
+        self.block_slots[block, slot] = pages
+        # Last writer wins: each page's final copy is its last append, and
+        # every earlier copy, in the run or before it, lost its valid page.
+        uniq, first_rev = np.unique(pages[::-1], return_index=True)
+        final = block[n - 1 - first_rev]
+        old = self.page_to_block[uniq]
+        nb = len(self.block_valid)
+        self.block_valid -= np.bincount(old[old != UNMAPPED], minlength=nb).astype(np.int32)
+        self.block_valid += np.bincount(final, minlength=nb).astype(np.int32)
+        self.page_to_block[uniq] = final
+        # Each channel's last append leaves its open block and fill.
+        counts = np.bincount(chans, minlength=nchan)  # the run as cut
+        for c in np.flatnonzero(counts).tolist():
+            last = int(start[c] + counts[c] - 1)
+            active[c] = int(lut[c, last // ppb])
+            fill[c] = last % ppb + 1
+        self.write_seq += n
+        return n
 
     def _sync_gc(self) -> None:
         """Run GC to the high watermark with no simulated time cost."""
